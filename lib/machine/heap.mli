@@ -1,6 +1,30 @@
 (** A first-fit free-list allocator whose metadata lives inside the
     simulated heap segment — so overflows corrupt it, and the allocator
-    detects the corruption like a real glibc heap. *)
+    detects the corruption like a real glibc heap.
+
+    The in-band headers ([size:4][status:4] before each payload) are the
+    only authority. Walking them from the heap base is the reference way
+    to find a fit or a freed block's previous neighbour, and the walk is
+    what raises {!Corrupted} on a smashed header. To keep malloc and free
+    from costing O(blocks), the allocator also keeps an out-of-band
+    mirror, the block index: every block by address (with its previous
+    neighbour) and a max-tree over the free sizes that yields the
+    lowest-address free block of size >= n — exact first fit, so every
+    returned address is the walk's. It holds at most heap size / 16
+    entries, since every block spans at least 16 bytes.
+
+    The index is trusted only while the headers provably equal it. Every
+    write path marks the heap segment's second page bitmap, the touched
+    plane of {!Pna_vmem.Segment.marks}; only this module clears it. Each
+    {!malloc}, {!free} and {!free_partial} first re-reads the indexed
+    headers on pages marked since its last call. It takes the walk,
+    unchanged, on a mismatch, on an index invalidated by {!restore} (a
+    replica thaw restores too) or by an operation that did not finish on
+    it, on a free of an address that is not an indexed block, and
+    whenever a Vmem chaos hook is armed. The index is then rebuilt lazily
+    by one raw pass over the headers. [Corrupted] fires at the same
+    address with the same reason either way; only Vmem read counts
+    differ, because the index skips the walk's header reads. *)
 
 exception Corrupted of int * string
 (** (payload address, reason): bad status word, implausible size, double
@@ -60,7 +84,9 @@ val snapshot : t -> snapshot
     snapshots. *)
 
 val restore : t -> snapshot -> unit
-(** Does not touch the chaos hook — runtime configuration, not state. *)
+(** Does not touch the chaos hook — runtime configuration, not state.
+    Invalidates the block index; the next call rebuilds it from the
+    restored headers. *)
 
 val block_size : t -> int -> int
 val live_blocks : t -> int

@@ -40,9 +40,19 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Bytes.t;  (* one byte per page; nonzero = touched since last sync *)
-  mutable dirty_any : bool;  (* false implies every byte of [dirty] is zero *)
+  marks : Bytes.t;
+      (* one byte per page carrying two bitmaps as bit planes:
+         [dirty_bit], written since the last sync, and [touched_bit],
+         written since the heap last checked its block index against the
+         page — marked together, cleared apart *)
+  mutable dirty_any : bool;  (* false implies no byte of [marks] has [dirty_bit] *)
 }
+
+let dirty_bit = 1
+let touched_bit = 2
+
+(* Both planes at once: the one store a write makes. *)
+let both_marks = '\003'
 
 let page_count size = (size + page_size - 1) lsr page_shift
 
@@ -56,7 +66,7 @@ let create ~kind ~base ~size ~perm =
     bytes = Bytes.make size '\000';
     taint = Bytes.make size '\000';
     perm;
-    dirty = Bytes.make (page_count size) '\001';
+    marks = Bytes.make (page_count size) both_marks;
     dirty_any = true;
   }
 
@@ -68,36 +78,67 @@ let off t addr = addr - t.base
 
 let get_byte t addr = Char.code (Bytes.get t.bytes (off t addr))
 
-(* Mark [len] bytes at segment offset [o] as touched. At most two pages
-   for scalar widths, so the common case is one or two byte stores. *)
+(* Mark [len] bytes at segment offset [o] in both bitmaps. At most two
+   pages for scalar widths, so the common case is one or two byte stores. *)
 let[@inline] mark_dirty t o len =
   if len > 0 then begin
     let p0 = o lsr page_shift and p1 = (o + len - 1) lsr page_shift in
-    if p0 = p1 then Bytes.unsafe_set t.dirty p0 '\001'
-    else Bytes.fill t.dirty p0 (p1 - p0 + 1) '\001';
+    if p0 = p1 then Bytes.unsafe_set t.marks p0 both_marks
+    else Bytes.fill t.marks p0 (p1 - p0 + 1) both_marks;
     t.dirty_any <- true
   end
 
 let mark_all_dirty t =
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001';
+  Bytes.fill t.marks 0 (Bytes.length t.marks) both_marks;
   t.dirty_any <- true
+
+(* [touched_bit] in every byte of a word: eight pages per load. *)
+let touched_plane = 0x0202020202020202L
 
 let clear_dirty t =
   if t.dirty_any then begin
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+    let m = t.marks and n = Bytes.length t.marks in
+    let i = ref 0 in
+    while !i + 8 <= n do
+      Bytes.set_int64_ne m !i (Int64.logand (Bytes.get_int64_ne m !i) touched_plane);
+      i := !i + 8
+    done;
+    for j = !i to n - 1 do
+      Bytes.unsafe_set m j
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get m j) land touched_bit))
+    done;
     t.dirty_any <- false
   end
+
+let take_touched t p0 p1 f =
+  let m = t.marks in
+  let p = ref p0 in
+  while !p <= p1 do
+    let q = !p in
+    if q land 7 = 0 && q + 7 <= p1
+       && Int64.logand (Bytes.get_int64_ne m q) touched_plane = 0L
+    then p := q + 8
+    else begin
+      let b = Char.code (Bytes.unsafe_get m q) in
+      if b land touched_bit <> 0 then begin
+        Bytes.unsafe_set m q (Char.unsafe_chr (b land dirty_bit));
+        f q
+      end;
+      p := q + 1
+    end
+  done
 
 (* Coalesced maximal runs of dirty pages, clamped to the segment size:
    [f off len] with [off]/[len] in bytes relative to the segment base. *)
 let iter_dirty_runs t f =
   if t.dirty_any then begin
-    let npages = Bytes.length t.dirty in
+    let npages = Bytes.length t.marks in
+    let dirty p = Char.code (Bytes.unsafe_get t.marks p) land dirty_bit <> 0 in
     let i = ref 0 in
     while !i < npages do
-      if Bytes.unsafe_get t.dirty !i <> '\000' then begin
+      if dirty !i then begin
         let j = ref (!i + 1) in
-        while !j < npages && Bytes.unsafe_get t.dirty !j <> '\000' do
+        while !j < npages && dirty !j do
           incr j
         done;
         let o = !i lsl page_shift in

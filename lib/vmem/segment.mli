@@ -23,11 +23,22 @@ type t = {
   bytes : Bytes.t;
   taint : Bytes.t;
   mutable perm : Perm.t;
-  dirty : Bytes.t;
-      (** one byte per {!page_size}-byte page; nonzero = the page was
-          touched (contents or taint) since the last {!clear_dirty} *)
+  marks : Bytes.t;
+      (** one byte per {!page_size}-byte page, carrying two page bitmaps
+          as bit planes, both set by every write (contents or taint):
+          - the dirty bitmap: the page was written since the last
+            {!clear_dirty}, which {!Vmem}'s snapshots and restores call;
+          - the touched bitmap: the page was written since its one reader
+            last took the mark ({!take_touched}). The reader is the heap
+            allocator, which re-checks its out-of-band block index against
+            the block headers on each page it takes. Unlike the dirty
+            bitmap, nothing else clears it, so it records every page
+            written since the reader last looked. Restores rewrite bytes
+            without marking it; a reader must drop whatever it derived
+            from the segment when a restore happens.
+          One byte holds both so that a write still costs one store. *)
   mutable dirty_any : bool;
-      (** [false] implies every byte of [dirty] is zero — the cheap
+      (** [false] implies no page is in the dirty bitmap — the cheap
           "nothing to rewind" test *)
 }
 
@@ -58,14 +69,24 @@ val clear : t -> unit
     restore clear at sync points. *)
 
 val mark_dirty : t -> int -> int -> unit
-(** [mark_dirty t off len]: mark the pages covering [len] bytes at
-    segment offset [off] as touched. No-op when [len <= 0]. *)
+(** [mark_dirty t off len]: put the pages covering [len] bytes at
+    segment offset [off] in both bitmaps. No-op when [len <= 0]. *)
 
 val mark_all_dirty : t -> unit
+(** Mark every page in both bitmaps. *)
+
 val clear_dirty : t -> unit
+(** Clear the dirty bitmap only; the touched bitmap is left to its
+    reader. *)
+
+val take_touched : t -> int -> int -> (int -> unit) -> unit
+(** [take_touched t p0 p1 f]: for each page [p] in [p0 .. p1] (page
+    indices, inclusive) in the touched bitmap, take it out and apply
+    [f p]. Eight clean pages cost one word read. *)
 
 val iter_dirty_runs : t -> (int -> int -> unit) -> unit
-(** Apply [f off len] to each maximal run of dirty pages, offsets and
-    lengths in bytes relative to the segment base, clamped to [size]. *)
+(** Apply [f off len] to each maximal run of pages in the dirty bitmap,
+    offsets and lengths in bytes relative to the segment base, clamped to
+    [size]. *)
 
 val pp : Format.formatter -> t -> unit

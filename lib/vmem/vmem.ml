@@ -154,6 +154,7 @@ let access_stats t = t.stats
 let stats_row t kind = t.stats.rows.(Segment.kind_index kind)
 
 let set_chaos t hook = t.chaos <- hook
+let chaos_armed t = Option.is_some t.chaos
 let set_observer t hook = t.observer <- hook
 
 let add_segment t seg =

@@ -120,6 +120,11 @@ type chaos_hook = access:Fault.access -> addr:int -> byte:int -> int
 
 val set_chaos : t -> chaos_hook option -> unit
 
+val chaos_armed : t -> bool
+(** A chaos hook is set. Layers that can skip accesses (the heap's block
+    index) must not while one is: the hook's decisions depend on the
+    exact access sequence. *)
+
 (** {1 Access observation} *)
 
 type access_hook = access:Fault.access -> addr:int -> taint:bool -> unit

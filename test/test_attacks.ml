@@ -8,6 +8,9 @@ module All = Pna_attacks.All
 module Config = Pna_defense.Config
 module O = Pna_minicpp.Outcome
 module Event = Pna_machine.Event
+module Machine = Pna_machine.Machine
+module Vmem = Pna_vmem.Vmem
+module Segment = Pna_vmem.Segment
 
 let run ?config id =
   match All.find id with
@@ -180,12 +183,42 @@ let test_verdicts_have_detail () =
         (String.length r.D.verdict.C.detail > 0))
     All.attacks
 
+(* Heap-segment bytes read per malloc/free over one plain tree-walker
+   run: the program's own payload reads plus whatever the allocator
+   reads to find fits and neighbours. *)
+let heap_reads_per_op id =
+  let a = Option.get (All.find id) in
+  let p = D.prepare ~config:Config.none ~sanitize:false ~engine:`Interp a in
+  let m = D.reset p in
+  let heap = (Vmem.access_stats (Machine.mem m)).Vmem.rows.(Segment.kind_index Segment.Heap) in
+  let ops () =
+    let s = Machine.heap_stats m in
+    s.Pna_machine.Heap.allocs + s.Pna_machine.Heap.frees
+  in
+  let reads0 = heap.Vmem.a_reads and ops0 = ops () in
+  ignore (D.run_prepared p);
+  (heap.Vmem.a_reads - reads0) / (ops () - ops0)
+
+(* The allocator must not go back to walking every block header on each
+   call. L23-oom's heap ends near 13k blocks and L23-memleak's near 400,
+   so a per-call walk shows up as a ratio in the tens; without one the
+   two read about the same per call. Counts, not timings: this holds on
+   any host and in every CI pass. *)
+let test_allocator_cost_flat_in_blocks () =
+  let oom = heap_reads_per_op "L23-oom"
+  and leak = heap_reads_per_op "L23-memleak" in
+  if oom > 2 * leak then
+    Alcotest.failf "L23-oom reads %d heap bytes per allocator call, L23-memleak %d"
+      oom leak
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "attacks",
     success_cases @ hardened_cases
     @ [
         t "StackGuard detects the naive smash" test_stackguard_detects_naive;
+        t "allocator cost does not grow with the block count"
+          test_allocator_cost_flat_in_blocks;
         t "StackGuard misses the selective bypass (§5.2)"
           test_stackguard_misses_bypass;
         t "shadow stack blocks return hijacks" test_shadow_stack_blocks_all_ret_hijacks;
